@@ -12,8 +12,8 @@
 //! | `figure2` | runtime-overhead comparison |
 //! | `profile_overhead` | the disabled-profiler ≤2% overhead gate |
 //!
-//! plus the Criterion bench `fig2_overhead`. This library holds the
-//! machinery those binaries (and the integration tests) share.
+//! This library holds the machinery those binaries (and the integration
+//! tests) share.
 
 pub mod ablation;
 pub mod baseline;

@@ -1067,7 +1067,7 @@ fn cmd_fuzz_supervised(
     parsed: &Parsed,
     mut degraded: Vec<embsan_obs::MetricEntry>,
 ) -> Result<(), String> {
-    use embsan_fuzz::{run_supervised_session, Dictionary, Journal, StartInfo, Strategy};
+    use embsan_fuzz::{run_supervised_span, Dictionary, Journal, StartInfo, Strategy};
     if parsed.option("analysis").is_some() {
         // The journal format carries no scores; directed scheduling would
         // not survive a resume bit-identically, so the supervised path
@@ -1117,7 +1117,7 @@ fn cmd_fuzz_supervised(
     );
     let seed = start.seed.to_string();
     let iters = start.iterations.to_string();
-    let outcome = run_supervised_session(
+    let (outcome, _) = run_supervised_span(
         &mut session,
         syscall_descs,
         dict,
@@ -1136,7 +1136,7 @@ fn cmd_fuzz_supervised(
 }
 
 fn cmd_fuzz_resume(parsed: &Parsed) -> Result<(), String> {
-    use embsan_fuzz::{run_supervised_session, CampaignConfig, Dictionary, Journal};
+    use embsan_fuzz::{run_supervised_span, CampaignConfig, Dictionary, Journal};
     let journal_path = parsed.option("resume").ok_or("expected --resume <journal>")?;
     let loaded = Journal::load(std::path::Path::new(journal_path)).map_err(|e| e.to_string())?;
     let start = loaded.start().map_err(|e| e.to_string())?.clone();
@@ -1144,7 +1144,7 @@ fn cmd_fuzz_resume(parsed: &Parsed) -> Result<(), String> {
         return Err(format!("{journal_path}: campaign already completed"));
     }
     // The journal's Start record names the image the campaign was fuzzing;
-    // the session is re-prepared from it exactly as `run_supervised_session`
+    // the session is re-prepared from it exactly as `run_supervised_span`
     // left it (probe mode and syscall count must match the original
     // invocation — both default deterministically).
     let image_path = &start.firmware;
@@ -1187,7 +1187,7 @@ fn cmd_fuzz_resume(parsed: &Parsed) -> Result<(), String> {
     );
     let seed = start.seed.to_string();
     let iters = start.iterations.to_string();
-    let outcome = run_supervised_session(
+    let (outcome, _) = run_supervised_span(
         &mut session,
         syscall_descs,
         dict,
@@ -1236,7 +1236,6 @@ fn cmd_serve(parsed: &Parsed) -> Result<(), String> {
 
 #[cfg(unix)]
 fn cmd_submit(parsed: &Parsed) -> Result<(), String> {
-    use embsan_serve::protocol::escape_json;
     let socket = parsed.option("socket").ok_or("expected --socket <path>")?;
     let firmware = parsed.option("firmware").ok_or("expected --firmware <name>")?;
     let iterations = parsed.option_u64("iters", 400)?;
@@ -1256,7 +1255,7 @@ fn cmd_submit(parsed: &Parsed) -> Result<(), String> {
     let line = format!(
         "{{\"cmd\":\"submit\",\"firmware\":\"{}\",\"iterations\":{iterations},\
          \"seed\":{seed},\"priority\":{priority}{drill}}}",
-        escape_json(firmware)
+        embsan_obs::json::escape(firmware)
     );
     let response = embsan_serve::request(std::path::Path::new(socket), &line)?;
     println!("{response}");

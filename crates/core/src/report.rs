@@ -1,6 +1,7 @@
 //! Sanitizer reports: classification, KASAN-style rendering, deduplication.
 
 use embsan_asm::image::FirmwareImage;
+use embsan_obs::{fnv1a, FNV_OFFSET};
 
 /// Classification of a detected violation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -157,23 +158,10 @@ impl Report {
     /// when the whole access shape matches, and it serializes as one u64
     /// for store keys and wire formats.
     pub fn signature(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = FNV_OFFSET;
-        let mut eat = |byte: u8| {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        };
-        eat(self.class.code());
-        for byte in self.pc.to_le_bytes() {
-            eat(byte);
-        }
-        for byte in self.addr.to_le_bytes() {
-            eat(byte);
-        }
-        eat(self.size);
-        eat(u8::from(self.is_write));
-        hash
+        let hash = fnv1a(FNV_OFFSET, &[self.class.code()]);
+        let hash = fnv1a(hash, &self.pc.to_le_bytes());
+        let hash = fnv1a(hash, &self.addr.to_le_bytes());
+        fnv1a(hash, &[self.size, u8::from(self.is_write)])
     }
 
     /// Renders a KASAN-style textual report; with an unstripped firmware

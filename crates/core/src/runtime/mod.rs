@@ -29,6 +29,7 @@ use embsan_emu::hook::{ExecHook, HookAction, HookConfig};
 use embsan_emu::isa::Reg;
 use embsan_emu::profile::Arch;
 use embsan_emu::Fault;
+use embsan_obs::fnv1a;
 
 use crate::health::{Degradation, HealthCounters};
 use crate::report::{BugClass, Report};
@@ -195,19 +196,12 @@ impl RuntimeState {
     /// Folds the contents of the big sanitizer planes into `hash` (FNV-1a).
     /// Part of the base-image identity: two sessions whose RAM, CPU state
     /// *and* sanitizer planes hash alike can share one copy-on-write base.
-    pub(crate) fn fold_plane_hash(&self, mut hash: u64) -> u64 {
-        const PRIME: u64 = 0x0000_0100_0000_01B3;
-        let mut fold = |bytes: &[u8]| {
-            for &b in bytes {
-                hash ^= u64::from(b);
-                hash = hash.wrapping_mul(PRIME);
-            }
-        };
-        fold(&self.shadow.plane_to_vec());
-        if let Some(umsan) = &self.umsan {
-            fold(&umsan.plane_to_vec());
+    pub(crate) fn fold_plane_hash(&self, hash: u64) -> u64 {
+        let hash = fnv1a(hash, &self.shadow.plane_to_vec());
+        match &self.umsan {
+            Some(umsan) => fnv1a(hash, &umsan.plane_to_vec()),
+            None => hash,
         }
-        hash
     }
 
     /// Total bytes of the big sanitizer planes (shared-base accounting).

@@ -20,6 +20,7 @@ use embsan_emu::machine::{Machine, RunExit};
 use embsan_emu::snapshot::Snapshot;
 use embsan_emu::EmuError;
 use embsan_guestos::executor::ExecProgram;
+use embsan_obs::FNV_OFFSET;
 
 use crate::health::{Degradation, HealthCounters};
 use crate::probe::ProbeArtifacts;
@@ -457,7 +458,7 @@ impl Session {
         self.runtime.freeze_planes();
         let snapshot = self.machine.snapshot();
         let state = self.runtime.state();
-        let hash = state.fold_plane_hash(snapshot.fold_hash(0xCBF2_9CE4_8422_2325));
+        let hash = state.fold_plane_hash(snapshot.fold_hash(FNV_OFFSET));
         self.baseline = Some(Arc::new(BaseImage { snapshot, state, hash }));
         Ok(())
     }

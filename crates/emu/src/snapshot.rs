@@ -16,6 +16,8 @@
 
 use std::sync::Arc;
 
+use embsan_obs::fnv1a;
+
 use crate::cpu::Cpu;
 use crate::device::DeviceSet;
 use crate::error::EmuError;
@@ -55,18 +57,9 @@ impl Snapshot {
     /// `Debug` rendering. Deterministic for identical machine states, so
     /// two independently booted sessions of the same firmware hash alike
     /// and can share one base image.
-    pub fn fold_hash(&self, mut hash: u64) -> u64 {
-        const PRIME: u64 = 0x0000_0100_0000_01B3;
-        for &b in self.ram.iter() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(PRIME);
-        }
+    pub fn fold_hash(&self, hash: u64) -> u64 {
         let tail = format!("{:?}|{:?}|{}", self.cpus, self.devices, self.global_retired);
-        for &b in tail.as_bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(PRIME);
-        }
-        hash
+        fnv1a(fnv1a(hash, &self.ram), tail.as_bytes())
     }
 }
 

@@ -10,7 +10,7 @@
 //! carries the *complete* mutable fuzzer state ([`FuzzerState`]) and the
 //! supervisor's own bookkeeping ([`SupervisorState`]).
 //!
-//! Wire format: an 8-byte magic (`EMBSANJ1`), then records framed as
+//! Wire format: an 8-byte magic (`EMBSANJ2`), then records framed as
 //! `[tag: u8][len: u32 LE][payload: len bytes]`. Payload encodings are
 //! hand-rolled little-endian (no serialization dependency) and versioned
 //! by the magic.

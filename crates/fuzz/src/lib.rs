@@ -54,11 +54,11 @@ pub use journal::{
     RetryPolicy, StartInfo, SupervisorHealth,
 };
 pub use parallel::{
-    run_parallel, run_parallel_campaign, run_parallel_campaign_directed, run_parallel_directed,
-    ParallelConfig, ParallelOutcome, ParallelStats,
+    run_parallel_campaign, run_parallel_campaign_directed, run_parallel_directed, ParallelConfig,
+    ParallelOutcome, ParallelStats,
 };
 pub use rng::SplitMix64;
 pub use supervisor::{
-    program_hash, resume_supervised, run_supervised, run_supervised_session, run_supervised_span,
-    ResumePoint, SupervisedOutcome, SupervisedResult, SupervisorConfig,
+    program_hash, resume_supervised, run_supervised, run_supervised_span, ResumePoint,
+    SupervisedOutcome, SupervisedResult, SupervisorConfig,
 };

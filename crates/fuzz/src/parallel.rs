@@ -622,13 +622,19 @@ fn worker_loop<F>(
     }
 }
 
-/// Runs a parallel fuzzing campaign over sessions produced by `factory`.
+/// Runs a parallel fuzzing campaign over sessions produced by `factory`,
+/// with optional directed-campaign steering.
 ///
 /// `factory(worker_index)` must return a *ready* session (already past
 /// `run_to_ready`); it is called once per worker, on that worker's thread,
 /// because sessions are thread-affine. Every worker must get an
 /// identically-behaving session (same firmware, same configuration) or the
 /// determinism contract is void.
+///
+/// With `direction` loaded, every worker scores retained entries by static
+/// distance and anneals its picks toward the frontier; scores are part of
+/// the canonical merge, so the determinism contract (same results for any
+/// worker count) carries over unchanged. `None` runs the undirected engine.
 ///
 /// # Errors
 ///
@@ -639,32 +645,6 @@ fn worker_loop<F>(
 /// # Panics
 ///
 /// Panics if `workers` is 0 or a worker thread panics.
-pub fn run_parallel<F>(
-    factory: F,
-    descs: &[SyscallDesc],
-    dict: &Dictionary,
-    strategy: Strategy,
-    config: &ParallelConfig,
-) -> Result<ParallelOutcome, CampaignError>
-where
-    F: Fn(usize) -> Result<Session, CampaignError> + Sync,
-{
-    run_parallel_directed(factory, descs, dict, strategy, None, config)
-}
-
-/// [`run_parallel`] with optional directed-campaign steering. With
-/// `direction` loaded, every worker scores retained entries by static
-/// distance and anneals its picks toward the frontier; scores are part of
-/// the canonical merge, so the determinism contract (same results for any
-/// worker count) carries over unchanged. `None` is exactly [`run_parallel`].
-///
-/// # Errors
-///
-/// See [`run_parallel`].
-///
-/// # Panics
-///
-/// See [`run_parallel`].
 pub fn run_parallel_directed<F>(
     factory: F,
     descs: &[SyscallDesc],

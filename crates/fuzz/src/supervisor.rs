@@ -40,7 +40,8 @@ use embsan_emu::machine::RunExit;
 use embsan_guestos::executor::ExecProgram;
 use embsan_guestos::{firmware_by_name, FirmwareSpec};
 use embsan_obs::{
-    EventKind, MergedTrace, MetricClass, MetricsRegistry, MetricsSnapshot, TraceConfig, TraceSpan,
+    fnv1a, EventKind, MergedTrace, MetricClass, MetricsRegistry, MetricsSnapshot, TraceConfig,
+    TraceSpan, FNV_OFFSET,
 };
 
 use crate::campaign::{
@@ -312,11 +313,7 @@ fn consume<T: PartialEq>(set: &mut Vec<T>, key: &T) -> bool {
 
 /// FNV-1a hash of a program's wire encoding (quarantine identity).
 pub fn program_hash(program: &ExecProgram) -> u64 {
-    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-    for byte in program.encode() {
-        hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
+    fnv1a(FNV_OFFSET, &program.encode())
 }
 
 fn strategy_for(spec: &FirmwareSpec) -> Strategy {
@@ -363,7 +360,7 @@ pub fn run_supervised(
         }
         None => None,
     };
-    let outcome = run_supervised_session(
+    let (outcome, _) = run_supervised_span(
         &mut session,
         descriptions_for(spec),
         dict,
@@ -425,7 +422,7 @@ pub fn resume_supervised(
         prepare_session(spec, &config.campaign).map_err(|e| e.with_firmware(spec.name))?;
     let mut journal = Journal::reopen(journal_path, loaded.valid_len)
         .map_err(|e| campaign_journal_error(e, spec.name))?;
-    let outcome = run_supervised_session(
+    let (outcome, _) = run_supervised_span(
         &mut session,
         descriptions_for(spec),
         dict,
@@ -458,30 +455,12 @@ fn campaign_journal_error(e: JournalError, firmware: &str) -> CampaignError {
 /// campaigns and CLI image-based fuzzing (the caller prepares the session
 /// and, on resume, supplies the loaded checkpoint).
 ///
-/// # Errors
-///
-/// [`CampaignError`] carrying iteration and program context.
-pub fn run_supervised_session(
-    session: &mut Session,
-    descs: Vec<SyscallDesc>,
-    dict: Dictionary,
-    config: &SupervisorConfig,
-    start: StartInfo,
-    resume: Option<ResumePoint>,
-    journal: Option<&mut Journal>,
-) -> Result<SupervisedOutcome, CampaignError> {
-    run_supervised_span(session, descs, dict, config, start, resume, journal)
-        .map(|(outcome, _)| outcome)
-}
-
-/// The slice-capable supervised loop: identical to
-/// [`run_supervised_session`] but additionally returns an in-memory
-/// [`ResumePoint`] when the run stopped early (`kill_after`), so a
-/// scheduler running a campaign in fair-share slices can continue the next
-/// slice on the same warm session without a journal round-trip. The
-/// journal stays the source of truth — the continuation is a pure
-/// optimization and can always be dropped in favour of
-/// [`ResumePoint::from_journal`].
+/// Besides the outcome it returns an in-memory [`ResumePoint`] when the
+/// run stopped early (`kill_after`), so a scheduler running a campaign in
+/// fair-share slices can continue the next slice on the same warm session
+/// without a journal round-trip. The journal stays the source of truth —
+/// the continuation is a pure optimization and can always be dropped in
+/// favour of [`ResumePoint::from_journal`].
 ///
 /// # Errors
 ///

@@ -7,6 +7,8 @@
 
 use std::fmt::Write as _;
 
+use crate::json;
+
 /// Which probe family fired (mirrors [`ExecHook`] dispatch, where
 /// `ExecHook` is the emulator's hook trait).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -228,7 +230,7 @@ impl EventKind {
                 );
             }
             EventKind::Report { class, pc } => {
-                let _ = write!(out, ",\"class\":\"{class}\",\"pc\":\"{pc:#010x}\"");
+                let _ = write!(out, ",\"class\":\"{}\",\"pc\":\"{pc:#010x}\"", json::escape(class));
             }
             EventKind::WatchdogTrip { class } => {
                 let _ = write!(out, ",\"class\":\"{class}\"");
@@ -244,7 +246,11 @@ impl EventKind {
                 );
             }
             EventKind::DegradedMode { component, detail } => {
-                let _ = write!(out, ",\"component\":\"{component}\",\"detail\":\"{detail}\"");
+                let _ = write!(
+                    out,
+                    ",\"component\":\"{component}\",\"detail\":\"{}\"",
+                    json::escape(detail)
+                );
             }
             EventKind::JobLifecycle { job, phase } => {
                 let _ = write!(out, ",\"job\":{job},\"phase\":\"{phase}\"");
@@ -316,6 +322,7 @@ impl Event {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Value;
 
     #[test]
     fn jsonl_shape_is_stable() {
@@ -334,6 +341,19 @@ mod tests {
             "{\"clock\":42,\"seq\":7,\"iter\":3,\"event\":\"probe-fire\",\
              \"probe\":\"mem\",\"pc\":\"0x10000004\"}"
         );
+    }
+
+    #[test]
+    fn free_text_fields_are_escaped() {
+        for detail in ["job 1 strike 1: bad \"x\"", "path C:\\fw\\a", "tab\tnewline\n\u{7}"] {
+            let kind = EventKind::DegradedMode { component: "queue", detail: detail.to_string() };
+            let event = Event { clock: 1, seq: 0, kind };
+            let line = json::parse(&event.to_jsonl(None)).unwrap();
+            assert_eq!(line.get("detail").and_then(Value::as_str), Some(detail));
+            let chrome = json::parse(&event.to_chrome(None)).unwrap();
+            let args = chrome.get("args").unwrap();
+            assert_eq!(args.get("detail").and_then(Value::as_str), Some(detail));
+        }
     }
 
     #[test]

@@ -22,6 +22,7 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use crate::event::{Event, EventKind};
+use crate::json;
 
 /// Which event kinds a [`Tracer`] records, and how many it retains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -270,9 +271,9 @@ pub fn jsonl_header(meta: &[(&str, &str)]) -> String {
     let mut out = String::from("{\"format\":\"embsan-trace-v1\"");
     for (key, value) in meta {
         out.push_str(",\"");
-        out.push_str(key);
+        out.push_str(&json::escape(key));
         out.push_str("\":\"");
-        out.push_str(value);
+        out.push_str(&json::escape(value));
         out.push('"');
     }
     out.push_str("}\n");
@@ -377,5 +378,14 @@ mod tests {
         let mut lines = jsonl.lines();
         assert_eq!(lines.next().unwrap(), "{\"format\":\"embsan-trace-v1\",\"firmware\":\"demo\"}");
         assert!(lines.next().unwrap().contains("\"iter\":4"));
+    }
+
+    #[test]
+    fn header_meta_values_are_escaped() {
+        let image = "fw \"v2\"\\build\\a.evfw";
+        let header = jsonl_header(&[("image", image), ("seed", "7")]);
+        let value = json::parse(header.trim_end()).unwrap();
+        assert_eq!(value.get("image").and_then(json::Value::as_str), Some(image));
+        assert_eq!(value.get("seed").and_then(json::Value::as_str), Some("7"));
     }
 }

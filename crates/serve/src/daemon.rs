@@ -16,10 +16,10 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use embsan_fuzz::{backoff_delay_ms, is_transient_io, RetryPolicy};
-use embsan_obs::EventKind;
+use embsan_obs::{json, EventKind};
 
 use crate::engine::ServeEngine;
-use crate::protocol::{error_response, escape_json, ok_response, parse_request, Request};
+use crate::protocol::{error_response, ok_response, parse_request, Request};
 
 /// Front-end configuration.
 #[derive(Debug, Clone)]
@@ -170,7 +170,7 @@ fn handle_request(engine: &mut ServeEngine, request: Request) -> (String, bool) 
                 }
                 jobs.push_str(&format!(
                     "{{\"id\":{id},\"firmware\":\"{}\",\"phase\":\"{}\",\"turns\":{turns}}}",
-                    escape_json(&firmware),
+                    json::escape(&firmware),
                     phase.name(),
                 ));
             }

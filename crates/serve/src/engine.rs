@@ -663,7 +663,7 @@ impl ServeEngine {
             out.push_str(&format!(
                 "{{\"id\":{id},\"firmware\":\"{}\",\"phase\":\"{}\",\"iterations\":{},\
                  \"execs\":{},\"corpus\":{},\"coverage\":{},\"findings\":{}}}",
-                crate::protocol::escape_json(&job.spec.firmware),
+                embsan_obs::json::escape(&job.spec.firmware),
                 job.phase.name(),
                 report.iterations,
                 report.execs,

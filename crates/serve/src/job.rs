@@ -13,7 +13,7 @@ use std::path::{Path, PathBuf};
 
 use embsan_fuzz::{retry_io, RetryPolicy};
 
-use crate::protocol::{escape_json, parse_json, Value};
+use embsan_obs::json::{self, Value};
 
 /// A deterministic resilience drill attached to a job. Drills let tests
 /// and soak runs exercise the daemon's failure paths on demand: the drill
@@ -130,7 +130,7 @@ impl JobSpec {
         format!(
             "{{\"id\":{},\"firmware\":\"{}\",\"iterations\":{},\"seed\":{},\"priority\":{}{}}}",
             self.id,
-            escape_json(&self.firmware),
+            json::escape(&self.firmware),
             self.iterations,
             self.seed,
             self.priority,
@@ -144,8 +144,10 @@ impl JobSpec {
     ///
     /// A message naming the missing or malformed field.
     pub fn from_json(line: &str) -> Result<JobSpec, String> {
-        let value = parse_json(line)?;
-        let obj = value.as_obj().ok_or("manifest line must be an object")?;
+        let obj = json::parse(line)?;
+        if obj.as_object().is_none() {
+            return Err("manifest line must be an object".to_string());
+        }
         let field = |name: &str| obj.get(name).and_then(Value::as_u64);
         let drill = match obj.get("drill") {
             None | Some(Value::Null) => None,
